@@ -19,7 +19,8 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/sparse/ ./internal/core/ ./internal/algorithms/ ./internal/workpool/ ./internal/comm/ ./internal/dist/ ./gb/
+	$(GO) test -race ./internal/sparse/ ./internal/core/ ./internal/algorithms/ ./internal/workpool/ ./internal/comm/ ./internal/dist/ ./gb/ \
+		./internal/serve/ ./internal/trace/ ./internal/health/ ./internal/inspect/ ./internal/semiring/ ./cmd/gbserve/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -170,29 +170,17 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 	if n == 0 {
 		return nil, 0, nil
 	}
-	// Structural float copy, distributed.
+	// The iteration runs on a block-local structural copy; it inherits the
+	// input's replication, so failover still applies.
+	pm := distStructural[float64](rt, a)
 	outdeg := make([]float64, n)
-	pat := sparse.NewCOO[float64](n, n)
-	for l, blk := range a.Blocks {
-		r, c := a.G.Coords(l)
+	for l, blk := range pm.Blocks {
+		r, _ := pm.G.Coords(l)
 		for i := 0; i < blk.NRows; i++ {
-			cols, _ := blk.Row(i)
-			outdeg[a.RowBands[r]+i] += float64(len(cols))
-			for _, j := range cols {
-				pat.Append(a.RowBands[r]+i, a.ColBands[c]+j, 1)
-			}
+			outdeg[pm.RowBands[r]+i] += float64(blk.RowNNZ(i))
 		}
 	}
-	pcsr, err := pat.ToCSR(semiring.Second[float64])
-	if err != nil {
-		return nil, 0, err
-	}
-	pm := dist.MatFromCSR(rt, pcsr)
-	if a.Replicated() {
-		// The iteration runs on the structural copy, so the input's
-		// replication choice must carry over for failover to apply.
-		dist.ReplicateMat(rt, pm)
-	}
+	bounds := locale.BlockBounds(n, rt.G.P)
 	sr := semiring.PlusTimes[float64]()
 
 	r := make([]float64, n)
@@ -244,11 +232,13 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 		iters++
 		x := make([]float64, n)
 		danglingParts := make([]float64, rt.G.P)
-		for i := range x {
-			if outdeg[i] > 0 {
-				x[i] = r[i] / outdeg[i]
-			} else {
-				danglingParts[locale.OwnerOf(n, rt.G.P, i)] += r[i]
+		for l := range danglingParts {
+			for i := bounds[l]; i < bounds[l+1]; i++ {
+				if outdeg[i] > 0 {
+					x[i] = r[i] / outdeg[i]
+				} else {
+					danglingParts[l] += r[i]
+				}
 			}
 		}
 		dangling, err := comm.AllReduce(rt, danglingParts, semiring.PlusMonoid[float64]())
@@ -269,9 +259,9 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			// consumed element by element as the SpMV distributes it, in the
 			// same ascending order as the eager loop — the float delta
 			// accumulation stays bitwise identical.
-			err := core.FusedSpMVUpdate(rt, pm, xd, sr, func(_, gi int, v float64) {
+			err := core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, gi int, v float64) {
 				next[gi] = base + d*v
-				deltaParts[locale.OwnerOf(n, rt.G.P, gi)] += math.Abs(next[gi] - r[gi])
+				deltaParts[l] += math.Abs(next[gi] - r[gi])
 			})
 			if err != nil {
 				rollback, rerr := restore(err)
@@ -291,10 +281,12 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 				iter = resume(iter, rollback)
 				continue
 			}
-			sd := spread.ToDense().Data
-			for i := range next {
-				next[i] = base + d*sd[i]
-				deltaParts[locale.OwnerOf(n, rt.G.P, i)] += math.Abs(next[i] - r[i])
+			for l, sd := range spread.Loc {
+				for k, v := range sd {
+					i := spread.Bounds[l] + k
+					next[i] = base + d*v
+					deltaParts[l] += math.Abs(next[i] - r[i])
+				}
 			}
 		}
 		r = next
@@ -333,25 +325,7 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 		return nil, 0, 0, fmt.Errorf("algorithms: CCDist: matrix must be square")
 	}
 	n := a.NRows
-	// Structural int64 copy.
-	pat := sparse.NewCOO[int64](n, n)
-	for l, blk := range a.Blocks {
-		r, c := a.G.Coords(l)
-		for i := 0; i < blk.NRows; i++ {
-			cols, _ := blk.Row(i)
-			for _, j := range cols {
-				pat.Append(a.RowBands[r]+i, a.ColBands[c]+j, 1)
-			}
-		}
-	}
-	pcsr, err := pat.ToCSR(semiring.Second[int64])
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	pm := dist.MatFromCSR(rt, pcsr)
-	if a.Replicated() {
-		dist.ReplicateMat(rt, pm)
-	}
+	pm := distStructural[int64](rt, a)
 	sr := semiring.MinFirst[int64]()
 	inf := sr.AddIdentity()
 
@@ -403,10 +377,10 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			// update consumes the propagated vector in place of building it.
 			// ld snapshotted labels before the call, so in-callback label
 			// writes cannot feed back into this round's multiply.
-			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(_, gi int, v int64) {
+			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
 				if v != inf && v < labels[gi] {
 					labels[gi] = v
-					changedParts[locale.OwnerOf(n, rt.G.P, gi)] = 1
+					changedParts[l] = 1
 				}
 			})
 			if err != nil {
@@ -423,11 +397,12 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 				}
 				continue
 			}
-			pd := prop.ToDense().Data
-			for i := range labels {
-				if pd[i] != inf && pd[i] < labels[i] {
-					labels[i] = pd[i]
-					changedParts[locale.OwnerOf(n, rt.G.P, i)] = 1
+			for l, pd := range prop.Loc {
+				for k, v := range pd {
+					if i := prop.Bounds[l] + k; v != inf && v < labels[i] {
+						labels[i] = v
+						changedParts[l] = 1
+					}
 				}
 			}
 		}

@@ -96,7 +96,7 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 		labels[i] = int64(i)
 	}
 	// Propagate over the pattern of a (values ignored: structural semiring).
-	pattern := structural(a)
+	pattern := structural[int64](a)
 	for {
 		prop, err := core.SpMV(pattern, labels, sr)
 		if err != nil {
@@ -122,15 +122,15 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 	return labels, components, nil
 }
 
-// structural converts any matrix to an int64 pattern matrix (stored values
-// become 1) for structural-semiring algorithms.
-func structural[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[int64] {
-	out := &sparse.CSR[int64]{
+// structural converts any matrix to a pattern matrix of element type O
+// (stored values become 1) for structural-semiring algorithms.
+func structural[O, T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[O] {
+	out := &sparse.CSR[O]{
 		NRows:  a.NRows,
 		NCols:  a.NCols,
 		RowPtr: append([]int(nil), a.RowPtr...),
 		ColIdx: append([]int(nil), a.ColIdx...),
-		Val:    make([]int64, a.NNZ()),
+		Val:    make([]O, a.NNZ()),
 	}
 	for i := range out.Val {
 		out.Val[i] = 1
@@ -154,7 +154,7 @@ func PageRank[T semiring.Number](a *sparse.CSR[T], d float64, tol float64, maxIt
 	for i := 0; i < n; i++ {
 		outdeg[i] = float64(a.RowNNZ(i))
 	}
-	pattern := structuralFloat(a)
+	pattern := structural[float64](a)
 	sr := semiring.PlusTimes[float64]()
 	r := make([]float64, n)
 	for i := range r {
@@ -191,20 +191,6 @@ func PageRank[T semiring.Number](a *sparse.CSR[T], d float64, tol float64, maxIt
 	return r, iters, nil
 }
 
-func structuralFloat[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[float64] {
-	out := &sparse.CSR[float64]{
-		NRows:  a.NRows,
-		NCols:  a.NCols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for i := range out.Val {
-		out.Val[i] = 1
-	}
-	return out
-}
-
 // TriangleCount counts the triangles of a simple undirected graph given its
 // symmetric adjacency matrix, with the masked-SpGEMM formulation
 // sum(A .* (A·A)) / 6 over the structural (+,×) semiring.
@@ -212,7 +198,7 @@ func TriangleCount[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TriangleCount: matrix must be square")
 	}
-	p := structural(a)
+	p := structural[int64](a)
 	c, err := core.SpGEMMMasked(p, p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err
@@ -257,7 +243,7 @@ func TwoHopCounts[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TwoHopCounts: matrix must be square")
 	}
-	p := structural(a)
+	p := structural[int64](a)
 	c, err := core.SpGEMM(p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err

@@ -21,20 +21,23 @@ import (
 )
 
 // distStructural returns the pattern matrix of a — every stored entry
-// replaced by int64(1) — block by block, preserving the distribution and,
-// when a carries replicas, the replication (so failover recovery stays
-// available on the derived matrix).
-func distStructural[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *dist.Mat[int64] {
-	out := &dist.Mat[int64]{
-		G:        a.G,
+// replaced by a 1 of type O — block by block, with no gather. The bands are
+// the locale.BlockBounds every matrix on rt's grid carries, so the copy
+// holds exactly the blocks dist.MatFromCSR would cut from the gathered
+// pattern. When a carries replicas the copy is replicated too, so failover
+// recovery stays available on the derived matrix.
+func distStructural[O, T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *dist.Mat[O] {
+	g := rt.G
+	out := &dist.Mat[O]{
+		G:        g,
 		NRows:    a.NRows,
 		NCols:    a.NCols,
-		RowBands: append([]int(nil), a.RowBands...),
-		ColBands: append([]int(nil), a.ColBands...),
-		Blocks:   make([]*sparse.CSR[int64], len(a.Blocks)),
+		RowBands: locale.BlockBounds(a.NRows, g.Pr),
+		ColBands: locale.BlockBounds(a.NCols, g.Pc),
+		Blocks:   make([]*sparse.CSR[O], len(a.Blocks)),
 	}
 	for l, b := range a.Blocks {
-		out.Blocks[l] = structural(b)
+		out.Blocks[l] = structural[O](b)
 	}
 	if a.Replicated() {
 		dist.ReplicateMat(rt, out)
@@ -68,7 +71,7 @@ func TriangleCountDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) (i
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TriangleCountDist: matrix must be square")
 	}
-	p := distStructural(rt, a)
+	p := distStructural[int64](rt, a)
 	recovered := false
 	for {
 		if err := rt.Canceled(); err != nil {
@@ -105,7 +108,7 @@ func KTrussDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], k int) (*
 		return nil, 0, fmt.Errorf("algorithms: KTrussDist: k must be >= 3, got %d", k)
 	}
 	minSupport := int64(k - 2)
-	cur := distStructural(rt, a)
+	cur := distStructural[int64](rt, a)
 	recovered := false
 	rounds := 0
 	for {
@@ -188,7 +191,7 @@ func MSBFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], sources []
 			return nil, 0, fmt.Errorf("algorithms: MSBFSDist: source %d outside [0,%d)", s, n)
 		}
 	}
-	p := distStructural(rt, a)
+	p := distStructural[int64](rt, a)
 	ns := len(sources)
 
 	// Initial frontier: F[k][sources[k]] = 1.

@@ -706,13 +706,16 @@ func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 	if err != nil {
 		return err
 	}
+	// Both partitions ascend over [0, NCols), so one pass steps the column
+	// band c alongside the owning locale l.
 	bounds := locale.BlockBounds(a.NCols, g.P)
+	c := 0
 	for l := 0; l < g.P; l++ {
-		lo, hi := bounds[l], bounds[l+1]
-		for gi := lo; gi < hi; gi++ {
-			c := locale.OwnerOf(a.NCols, g.Pc, gi)
-			src := reduced[g.ID(0, c)]
-			update(l, gi, src[gi-a.ColBands[c]])
+		for gi := bounds[l]; gi < bounds[l+1]; gi++ {
+			for gi >= a.ColBands[c+1] {
+				c++
+			}
+			update(l, gi, reduced[g.ID(0, c)][gi-a.ColBands[c]])
 		}
 	}
 	rt.S.Barrier()

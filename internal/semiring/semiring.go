@@ -13,7 +13,10 @@
 // shortest paths, and (min,select2nd) over int64 for BFS parent propagation.
 package semiring
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Signed is the constraint for signed integer element types.
 type Signed interface {
@@ -88,7 +91,8 @@ func (s Semiring[T]) AddOp() BinaryOp[T] { return s.Add.Op }
 func (s Semiring[T]) AddIdentity() T { return s.Add.Identity }
 
 // MaxValue returns the identity of the Min monoid: +Inf for floating-point
-// element types, and the largest representable value for integer types.
+// element types, and the largest representable value for integer types. It
+// runs in constant time, since the saturating multiplies call it per product.
 func MaxValue[T Number]() T {
 	if isFloat[T]() {
 		inf := math.Inf(1)
@@ -100,16 +104,8 @@ func MaxValue[T Number]() T {
 		// Unsigned: -1 converts (by truncation) to the all-ones maximum.
 		return T(minusOne)
 	}
-	// Signed: double 1 until it wraps; the last pre-wrap power of two is
-	// 2^(bits-2), and the maximum is 2*2^(bits-2) - 1.
-	x := T(1)
-	for {
-		y := x + x
-		if y <= x {
-			return x + (x - 1)
-		}
-		x = y
-	}
+	// Signed: all ones below the sign bit.
+	return T(uint64(math.MaxUint64) >> (65 - 8*unsafe.Sizeof(zero)))
 }
 
 // MinValue returns the identity of the Max monoid: -Inf for floating-point

@@ -6,58 +6,36 @@ import (
 	"testing/quick"
 )
 
+// checkMaxMin compares MaxValue and MinValue for T against its bounds.
+func checkMaxMin[T Number](t *testing.T, name string, max, min T) {
+	t.Helper()
+	if got := MaxValue[T](); got != max {
+		t.Errorf("MaxValue[%s] = %v, want %v", name, got, max)
+	}
+	if got := MinValue[T](); got != min {
+		t.Errorf("MinValue[%s] = %v, want %v", name, got, min)
+	}
+}
+
 func TestMaxMinValueInt(t *testing.T) {
-	if got := MaxValue[int8](); got != math.MaxInt8 {
-		t.Errorf("MaxValue[int8] = %d, want %d", got, math.MaxInt8)
-	}
-	if got := MinValue[int8](); got != math.MinInt8 {
-		t.Errorf("MinValue[int8] = %d, want %d", got, math.MinInt8)
-	}
-	if got := MaxValue[int16](); got != math.MaxInt16 {
-		t.Errorf("MaxValue[int16] = %d, want %d", got, math.MaxInt16)
-	}
-	if got := MaxValue[int32](); got != math.MaxInt32 {
-		t.Errorf("MaxValue[int32] = %d, want %d", got, math.MaxInt32)
-	}
-	if got := MaxValue[int64](); got != math.MaxInt64 {
-		t.Errorf("MaxValue[int64] = %d, want %d", got, math.MaxInt64)
-	}
-	if got := MaxValue[int](); got != math.MaxInt {
-		t.Errorf("MaxValue[int] = %d, want %d", got, math.MaxInt)
-	}
-	if got := MinValue[int](); got != math.MinInt {
-		t.Errorf("MinValue[int] = %d, want %d", got, math.MinInt)
-	}
+	checkMaxMin[int](t, "int", math.MaxInt, math.MinInt)
+	checkMaxMin[int8](t, "int8", math.MaxInt8, math.MinInt8)
+	checkMaxMin[int16](t, "int16", math.MaxInt16, math.MinInt16)
+	checkMaxMin[int32](t, "int32", math.MaxInt32, math.MinInt32)
+	checkMaxMin[int64](t, "int64", math.MaxInt64, math.MinInt64)
 }
 
 func TestMaxMinValueUint(t *testing.T) {
-	if got := MaxValue[uint8](); got != math.MaxUint8 {
-		t.Errorf("MaxValue[uint8] = %d, want %d", got, math.MaxUint8)
-	}
-	if got := MinValue[uint8](); got != 0 {
-		t.Errorf("MinValue[uint8] = %d, want 0", got)
-	}
-	if got := MaxValue[uint64](); got != math.MaxUint64 {
-		t.Errorf("MaxValue[uint64] = %d, want %d", got, uint64(math.MaxUint64))
-	}
-	if got := MinValue[uint](); got != 0 {
-		t.Errorf("MinValue[uint] = %d, want 0", got)
-	}
+	checkMaxMin[uint](t, "uint", math.MaxUint, 0)
+	checkMaxMin[uint8](t, "uint8", math.MaxUint8, 0)
+	checkMaxMin[uint16](t, "uint16", math.MaxUint16, 0)
+	checkMaxMin[uint32](t, "uint32", math.MaxUint32, 0)
+	checkMaxMin[uint64](t, "uint64", math.MaxUint64, 0)
 }
 
 func TestMaxMinValueFloat(t *testing.T) {
-	if got := MaxValue[float64](); !math.IsInf(got, 1) {
-		t.Errorf("MaxValue[float64] = %g, want +Inf", got)
-	}
-	if got := MinValue[float64](); !math.IsInf(got, -1) {
-		t.Errorf("MinValue[float64] = %g, want -Inf", got)
-	}
-	if got := MaxValue[float32](); !math.IsInf(float64(got), 1) {
-		t.Errorf("MaxValue[float32] = %g, want +Inf", got)
-	}
-	if got := MinValue[float32](); !math.IsInf(float64(got), -1) {
-		t.Errorf("MinValue[float32] = %g, want -Inf", got)
-	}
+	checkMaxMin(t, "float32", float32(math.Inf(1)), float32(math.Inf(-1)))
+	checkMaxMin(t, "float64", math.Inf(1), math.Inf(-1))
 }
 
 func TestUnaryOps(t *testing.T) {

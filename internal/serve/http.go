@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,7 +71,7 @@ type queryResponse struct {
 
 	Levels     []int64   `json:"levels,omitempty"`
 	Parents    []int64   `json:"parents,omitempty"`
-	Dist       []float64 `json:"dist,omitempty"`
+	Dist       distances `json:"dist,omitempty"`
 	Ranks      []float64 `json:"ranks,omitempty"`
 	Labels     []int64   `json:"labels,omitempty"`
 	Components int       `json:"components,omitempty"`
@@ -82,6 +83,25 @@ type queryResponse struct {
 	// FaultSteps is how many fault-plan draws the chaos run made — the unit
 	// crash_step counts in (clients probe with no crash, then aim inside).
 	FaultSteps int64 `json:"fault_steps,omitempty"`
+}
+
+// distances is an SSSP distance vector. JSON has no infinity, so
+// unreachable (+Inf) entries encode as null.
+type distances []float64
+
+func (d distances) MarshalJSON() ([]byte, error) {
+	out := append(make([]byte, 0, 4*len(d)+2), '[')
+	for i, x := range d {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if math.IsInf(x, 1) {
+			out = append(out, "null"...)
+		} else {
+			out = strconv.AppendFloat(out, x, 'f', -1, 64)
+		}
+	}
+	return append(out, ']'), nil
 }
 
 // Handler returns the service's HTTP handler.
@@ -102,10 +122,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before committing the status, so a value that cannot
+// be encoded becomes a 500 with an error body rather than an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "encode response: " + err.Error()}) // a string map always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // the client may be gone; nothing left to report to
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

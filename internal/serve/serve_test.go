@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/gb"
+	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
 
@@ -124,6 +126,66 @@ func TestQueryEndpointsBasics(t *testing.T) {
 		t.Fatalf("readyz: %v %v", resp.StatusCode, err)
 	}
 	resp.Body.Close()
+}
+
+// TestSSSPUnreachableEncodes serves SSSP on a graph with an isolated vertex:
+// the body must decode, with null for the unreachable distance and the
+// library's distances elsewhere; a value JSON cannot carry is a 500.
+func TestSSSPUnreachableEncodes(t *testing.T) {
+	const n, isolated = 12, 7
+	coo := sparse.NewCOO[float64](n, n)
+	for u := 0; u < n-1; u++ {
+		if u != isolated && u+1 != isolated {
+			coo.Append(u, u+1, 1)
+			coo.Append(u+1, u, 1)
+		}
+	}
+	coo.Append(isolated-1, isolated+1, 2)
+	coo.Append(isolated+1, isolated-1, 2)
+	a, err := coo.ToCSR(semiring.Second[float64])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{BatchWindow: 0})
+	if err := s.LoadGraph("iso", a); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	ref, err := gb.New(gb.Locales(4), gb.Threads(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := gb.SSSP(gb.MatrixFromCSR(ref, a), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, body := post(t, ts, "/query", "", map[string]any{"graph": "iso", "op": "sssp", "source": 0})
+	if status != http.StatusOK {
+		t.Fatalf("sssp status %d: %v", status, body)
+	}
+	got, ok := body["dist"].([]any)
+	if !ok || len(got) != n {
+		t.Fatalf("dist = %v, want %d entries", body["dist"], n)
+	}
+	for v, d := range got {
+		switch {
+		case v == isolated:
+			if d != nil || !math.IsInf(want[v], 1) {
+				t.Errorf("dist[%d] = %v, want null (library %v)", v, d, want[v])
+			}
+		case d != want[v]:
+			t.Errorf("dist[%d] = %v, want %v", v, d, want[v])
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.NaN()})
+	var e map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e["error"] == "" {
+		t.Errorf("unencodable value: status %d body %q, want a 500 with an error", rec.Code, rec.Body.String())
+	}
 }
 
 // TestChaosQueriesCorrectOrFlagged is the acceptance criterion: under crash
