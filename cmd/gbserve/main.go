@@ -73,6 +73,16 @@ func buildGraph(spec string) (name string, a *sparse.CSR[float64], err error) {
 	}
 }
 
+// Slow-client bounds: a client gets readHeaderTimeout to send its request
+// headers and readTimeout for the whole request, body included, and an idle
+// keep-alive connection is closed after idleTimeout. None of them bounds the
+// response, so a long query is never cut off mid-answer.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func parsePolicy(s string) (gb.RecoveryPolicy, error) {
 	switch s {
 	case "redistribute":
@@ -142,7 +152,10 @@ func main() {
 			name, csr.NRows, csr.NNZ(), *locales, float64(time.Since(t0).Microseconds())/1e3)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{
+		Addr: *addr, Handler: srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "gbserve: serving on %s\n", *addr)

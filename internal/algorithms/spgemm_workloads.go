@@ -223,28 +223,32 @@ func MSBFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], sources []
 			lvl[l][i] = -1
 		}
 	}
+	// mark records the newly reached pairs and filters m's blocks down to
+	// them in place.
 	mark := func(m *dist.Mat[int64], level int64) int {
 		total := 0
 		for l, blk := range m.Blocks {
 			_, cc := g.Coords(l)
 			nb := m.ColBands[cc+1] - m.ColBands[cc]
-			kept := sparse.NewCSR[int64](blk.NRows, blk.NCols)
+			nnz := blk.NNZ()
+			w, start := 0, 0
 			for i := 0; i < blk.NRows; i++ {
-				cols, _ := blk.Row(i)
-				for _, j := range cols {
+				end := blk.RowPtr[i+1]
+				for _, j := range blk.ColIdx[start:end] {
 					if at := i*nb + j; !visited[l][at] {
 						visited[l][at] = true
 						lvl[l][at] = level
-						kept.ColIdx = append(kept.ColIdx, j)
-						kept.Val = append(kept.Val, 1)
+						blk.ColIdx[w], blk.Val[w] = j, 1
+						w++
 					}
 				}
-				kept.RowPtr[i+1] = len(kept.ColIdx)
+				blk.RowPtr[i+1] = w
+				start = end
 			}
-			m.Blocks[l] = kept
-			total += kept.NNZ()
+			blk.ColIdx, blk.Val = blk.ColIdx[:w], blk.Val[:w]
+			total += w
 			rt.S.Compute(l, rt.Threads, sim.Kernel{
-				Name: "msbfs-mark", Items: int64(blk.NNZ()) + 1, CPUPerItem: 5, BytesPerItem: 9,
+				Name: "msbfs-mark", Items: int64(nnz) + 1, CPUPerItem: 5, BytesPerItem: 9,
 			})
 		}
 		return total
@@ -252,17 +256,19 @@ func MSBFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], sources []
 	frontier := mark(f, 0)
 	rounds := 0
 	sr := semiring.LOrLAnd[int64]()
+	// The product lands in next, whose blocks the previous round's frontier
+	// lent back: the two matrices alternate, so warm rounds allocate nothing.
+	next := &dist.Mat[int64]{}
 	for frontier > 0 {
 		if err := rt.Canceled(); err != nil {
 			return nil, 0, fmt.Errorf("algorithms: MSBFSDist: %w", err)
 		}
 		rounds++
-		nf, err := core.SpGEMMDist(rt, f, p, sr)
-		if err != nil {
+		if err := core.SpGEMMDistInto(rt, f, p, sr, next); err != nil {
 			return nil, 0, err
 		}
-		frontier = mark(nf, int64(rounds))
-		f = nf
+		frontier = mark(next, int64(rounds))
+		f, next = next, f
 	}
 
 	levels := make([][]int64, ns)

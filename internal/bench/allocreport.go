@@ -249,6 +249,26 @@ func MeasureAllocs() (AllocReport, error) {
 		dc.FromCSR(hs)
 	})
 
+	// SUMMA stage loop: on a 2×3 grid every stage hands the local kernels a
+	// block itself, a row-range view of a B block, or an A column window
+	// extracted into a reused buffer; with the product written into a reused
+	// matrix (SpGEMMDistInto) a warm call copies and allocates nothing.
+	rtSumma, err := locale.New(machine.Edison(), 6, 4)
+	if err != nil {
+		return rep, err
+	}
+	sa := dist.MatFromCSR(rtSumma, sparse.ErdosRenyi[int64](600, 5, 11))
+	sb := dist.MatFromCSR(rtSumma, sparse.ErdosRenyi[int64](600, 5, 12))
+	var sc dist.Mat[int64]
+	for i := 0; i < allocWarmups; i++ {
+		if err := core.SpGEMMDistInto(rtSumma, sa, sb, sr, &sc); err != nil {
+			return rep, err
+		}
+	}
+	add("summa_stage", func() {
+		_ = core.SpGEMMDistInto(rtSumma, sa, sb, sr, &sc)
+	})
+
 	return rep, nil
 }
 

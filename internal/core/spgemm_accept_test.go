@@ -92,7 +92,7 @@ func TestSUMMAMessageCountPerStage(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotMsgs := rt.S.Traffic().Messages - before
-		stages := summaStages(a.ColBands, b.RowBands)
+		stages := summaStages(nil, a.ColBands, b.RowBands)
 		perStage := int64(g.Pr*(g.Pc-1) + g.Pc*(g.Pr-1))
 		if want := int64(len(stages)) * perStage; gotMsgs != want {
 			t.Errorf("p=%d: %d messages for %d stages, want exactly %d (%d per stage)",
@@ -122,7 +122,7 @@ func TestSUMMAStagesRectangular(t *testing.T) {
 	} {
 		aCols := locale.BlockBounds(tc.n, tc.pc)
 		bRows := locale.BlockBounds(tc.n, tc.pr)
-		stages := summaStages(aCols, bRows)
+		stages := summaStages(nil, aCols, bRows)
 		if tc.pr == tc.pc && len(stages) != tc.pr && tc.n >= tc.pr {
 			t.Errorf("%dx%d square grid: %d stages, want %d", tc.pr, tc.pc, len(stages), tc.pr)
 		}

@@ -153,20 +153,59 @@ func (a *CSR[T]) ExtractRow(i int) *Vec[T] {
 // new CSR matrix with local (shifted) indices. It is the primitive used to
 // cut a global matrix into 2-D distributed blocks.
 func (a *CSR[T]) SubMatrix(r0, r1, c0, c1 int) *CSR[T] {
-	nr, nc := r1-r0, c1-c0
-	s := NewCSR[T](nr, nc)
-	for i := 0; i < nr; i++ {
-		cols, vals := a.Row(r0 + i)
-		// Binary search the column window within the sorted row.
-		lo := sort.SearchInts(cols, c0)
-		hi := sort.SearchInts(cols, c1)
-		for k := lo; k < hi; k++ {
-			s.ColIdx = append(s.ColIdx, cols[k]-c0)
-			s.Val = append(s.Val, vals[k])
-		}
-		s.RowPtr[i+1] = len(s.ColIdx)
-	}
+	s := &CSR[T]{}
+	a.SubMatrixInto(s, r0, r1, c0, c1)
 	return s
+}
+
+// SubMatrixInto is SubMatrix writing into dst, reusing its arrays: a count
+// pass sizes the row pointers and the entry arrays exactly, a fill pass
+// copies each row's column window. Once dst has held a window this large,
+// further extractions allocate nothing. dst must not alias a.
+func (a *CSR[T]) SubMatrixInto(dst *CSR[T], r0, r1, c0, c1 int) {
+	nr := r1 - r0
+	dst.NRows, dst.NCols = nr, c1-c0
+	dst.RowPtr = growInts(dst.RowPtr, nr+1)
+	dst.RowPtr[0] = 0
+	for i := 0; i < nr; i++ {
+		cols, _ := a.Row(r0 + i)
+		dst.RowPtr[i+1] = dst.RowPtr[i] + sort.SearchInts(cols, c1) - sort.SearchInts(cols, c0)
+	}
+	nnz := dst.RowPtr[nr]
+	dst.ColIdx = growInts(dst.ColIdx, nnz)
+	if cap(dst.Val) < nnz {
+		dst.Val = make([]T, nnz)
+	}
+	dst.Val = dst.Val[:nnz]
+	for i := 0; i < nr; i++ {
+		lo, hi := dst.RowPtr[i], dst.RowPtr[i+1]
+		if lo == hi {
+			continue
+		}
+		cols, vals := a.Row(r0 + i)
+		k := sort.SearchInts(cols, c0)
+		for t := lo; t < hi; t, k = t+1, k+1 {
+			dst.ColIdx[t] = cols[k] - c0
+		}
+		copy(dst.Val[lo:hi], vals[k-(hi-lo):k])
+	}
+}
+
+// RowView points dst at rows [r0, r1) of a without copying any entry: only
+// the rebased row pointers are written (into dst's reused RowPtr), while
+// dst's ColIdx and Val alias a's storage, capacity-capped so an append on
+// dst can never write into a. dst is read-only for as long as it aliases a;
+// NNZ() is the window's entry count.
+func (a *CSR[T]) RowView(dst *CSR[T], r0, r1 int) {
+	nr := r1 - r0
+	lo, hi := a.RowPtr[r0], a.RowPtr[r1]
+	dst.NRows, dst.NCols = nr, a.NCols
+	dst.RowPtr = growInts(dst.RowPtr, nr+1)
+	for i := range dst.RowPtr {
+		dst.RowPtr[i] = a.RowPtr[r0+i] - lo
+	}
+	dst.ColIdx = a.ColIdx[lo:hi:hi]
+	dst.Val = a.Val[lo:hi:hi]
 }
 
 // String renders small matrices for debugging.

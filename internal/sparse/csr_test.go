@@ -297,3 +297,90 @@ func TestCSRString(t *testing.T) {
 		t.Error("empty String() for big matrix")
 	}
 }
+
+// windowRef extracts rows [r0, r1) × columns [c0, c1) entry by entry: the
+// brute-force reference for SubMatrix, SubMatrixInto and RowView.
+func windowRef[T semiring.Number](a *CSR[T], r0, r1, c0, c1 int) *CSR[T] {
+	out := NewCSR[T](r1-r0, c1-c0)
+	for i := r0; i < r1; i++ {
+		cols, vals := a.Row(i)
+		for k, j := range cols {
+			if j >= c0 && j < c1 {
+				out.ColIdx = append(out.ColIdx, j-c0)
+				out.Val = append(out.Val, vals[k])
+			}
+		}
+		out.RowPtr[i-r0+1] = len(out.ColIdx)
+	}
+	return out
+}
+
+// TestCSRSubMatrixInto extracts a table of windows into one reused (and so
+// always dirty) destination: every result must equal a fresh SubMatrix and
+// the brute-force reference, including empty windows, empty rows and
+// hypersparse sources.
+func TestCSRSubMatrixInto(t *testing.T) {
+	withEmptyRows, err := CSRFromTriplets[int64](6, 8, []int{0, 0, 3, 5}, []int{1, 7, 4, 0}, []int64{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := ErdosRenyi[int64](50, 6, 21)
+	hyper := ErdosRenyi[int64](64, 0.2, 22)
+	empty := NewCSR[int64](5, 7)
+	var dst CSR[int64]
+	er.SubMatrixInto(&dst, 0, 50, 0, 50) // leave large stale contents behind
+	for _, tc := range []struct {
+		name           string
+		a              *CSR[int64]
+		r0, r1, c0, c1 int
+	}{
+		{"full", er, 0, 50, 0, 50},
+		{"corner", er, 10, 30, 5, 45},
+		{"single column", er, 0, 50, 17, 18},
+		{"no rows", er, 20, 20, 0, 50},
+		{"no columns", er, 0, 50, 30, 30},
+		{"empty rows only", withEmptyRows, 1, 3, 0, 8},
+		{"rows around empties", withEmptyRows, 0, 6, 1, 5},
+		{"hypersparse band", hyper, 16, 48, 0, 64},
+		{"hypersparse window", hyper, 0, 64, 20, 40},
+		{"empty matrix", empty, 0, 5, 2, 6},
+		{"zero by zero", NewCSR[int64](0, 0), 0, 0, 0, 0},
+	} {
+		tc.a.SubMatrixInto(&dst, tc.r0, tc.r1, tc.c0, tc.c1)
+		if err := dst.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := windowRef(tc.a, tc.r0, tc.r1, tc.c0, tc.c1); !dst.Equal(want) {
+			t.Errorf("%s: SubMatrixInto = %v, want %v", tc.name, &dst, want)
+		}
+		if fresh := tc.a.SubMatrix(tc.r0, tc.r1, tc.c0, tc.c1); !dst.Equal(fresh) {
+			t.Errorf("%s: SubMatrixInto differs from SubMatrix", tc.name)
+		}
+	}
+}
+
+// TestCSRRowView checks that a row-range view reads exactly the rows it
+// covers without copying, and that appending to it never writes into the
+// source.
+func TestCSRRowView(t *testing.T) {
+	a := ErdosRenyi[int64](40, 5, 23)
+	orig := a.Clone()
+	var v CSR[int64]
+	for _, rr := range [][2]int{{0, 40}, {0, 0}, {7, 19}, {39, 40}, {40, 40}} {
+		a.RowView(&v, rr[0], rr[1])
+		if err := v.Validate(); err != nil {
+			t.Fatalf("rows %v: %v", rr, err)
+		}
+		if want := windowRef(a, rr[0], rr[1], 0, a.NCols); !v.Equal(want) {
+			t.Errorf("rows %v: view differs from the reference", rr)
+		}
+		if v.NNZ() > 0 && &v.ColIdx[0] != &a.ColIdx[a.RowPtr[rr[0]]] {
+			t.Errorf("rows %v: view copied its entries", rr)
+		}
+		v.ColIdx = append(v.ColIdx, 0)
+		v.Val = append(v.Val, -1)
+		if !a.Equal(orig) {
+			t.Fatalf("rows %v: appending to the view wrote into the source", rr)
+		}
+	}
+}

@@ -67,11 +67,13 @@ func TestDCSCFromCSRReusesBuffers(t *testing.T) {
 // FuzzDCSC drives the CSR↔DCSC round trip and iteration-order equivalence
 // from fuzzed triplets: conversion must preserve every entry bitwise, and
 // walking the compressed rows must visit the same (row, col, val) sequence
-// as walking the CSR rows.
+// as walking the CSR rows. The same matrices also drive the SUMMA panel
+// primitives, SubMatrixInto and RowView.
 func FuzzDCSC(f *testing.F) {
 	f.Add(uint16(8), uint16(8), uint32(12), int64(1))
 	f.Add(uint16(100), uint16(3), uint32(2), int64(7)) // hypersparse
 	f.Add(uint16(1), uint16(200), uint32(50), int64(3))
+	f.Add(uint16(60), uint16(90), uint32(300), int64(0x1f2e3d4c5b6a7988)) // interior window
 	f.Fuzz(func(t *testing.T, nr16, nc16 uint16, nnz32 uint32, seed int64) {
 		nr := int(nr16%200) + 1
 		nc := int(nc16%200) + 1
@@ -119,6 +121,24 @@ func FuzzDCSC(f *testing.F) {
 		}
 		if k != d.NzRows() {
 			t.Fatalf("visited %d compressed rows, DCSC lists %d", k, d.NzRows())
+		}
+		// Panel extraction on the same matrix: a seeded window cut into a
+		// dirty destination, and a row-range view, must match the
+		// brute-force window.
+		u := uint64(seed)
+		r0 := int(u % uint64(nr+1))
+		r1 := r0 + int((u>>8)%uint64(nr-r0+1))
+		c0 := int((u >> 16) % uint64(nc+1))
+		c1 := c0 + int((u>>24)%uint64(nc-c0+1))
+		var dst CSR[int64]
+		a.SubMatrixInto(&dst, 0, nr, 0, nc)
+		a.SubMatrixInto(&dst, r0, r1, c0, c1)
+		if !dst.Equal(windowRef(a, r0, r1, c0, c1)) {
+			t.Fatalf("SubMatrixInto [%d,%d)x[%d,%d) differs from the reference", r0, r1, c0, c1)
+		}
+		a.RowView(&dst, r0, r1)
+		if !dst.Equal(windowRef(a, r0, r1, 0, nc)) {
+			t.Fatalf("RowView [%d,%d) differs from the reference", r0, r1)
 		}
 	})
 }
